@@ -8,16 +8,23 @@ carries over from one repetition to the next.  The last line printed is
 The process backend spawns its shard workers, and a spawned worker
 re-imports this script as ``__mp_main__``: everything at module level
 must therefore stay cheap and side-effect free, except the tracing
-hook below, which is exactly what a traced worker needs.
+hook below, which is exactly what a traced worker needs.  The host
+speed calibration runs in the repetition's own process only.
 """
 
 import os
 import sys
 import time
 
-T_START = time.perf_counter()
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
+
+if __name__ == "__main__":
+    # The host's speed just before the repetition (see hostspeed.py).
+    import hostspeed
+
+    CALIBRATION = [hostspeed.calibrate()]
+T_START = time.perf_counter()
 
 if os.environ.get("PERFBENCH_TRACE") == "1":
     import tracing
@@ -59,6 +66,7 @@ def main() -> int:
     parser.add_argument("--workdir", required=True)
     parser.add_argument("--kill-at", type=float, default=0.0)
     parser.add_argument("--fixed-launches", type=int, default=0)
+    parser.add_argument("--journal", default="")
     args = parser.parse_args()
     traced = os.environ.get("PERFBENCH_TRACE") == "1"
 
@@ -71,11 +79,13 @@ def main() -> int:
 
             result = {"expected": service_load.scripted_outcomes(args.seed)}
         else:
-            result = workloads.reference(args.workload, args.seed)
+            result = workloads.reference(args.workload, args.seed,
+                                         journal=args.journal)
     else:
         kwargs = {"seed": args.seed, "t_start": T_START,
                   "workdir": args.workdir, "kill_at": args.kill_at,
-                  "fixed_launches": args.fixed_launches, "trace": traced}
+                  "fixed_launches": args.fixed_launches,
+                  "journal": args.journal, "trace": traced}
         if args.workload == "tours":
             result = workloads.tours(**kwargs)
         elif args.workload == "service":
@@ -99,6 +109,7 @@ def main() -> int:
         own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
         result["peak_rss_mb"] = max(own, children) / 1024.0
+    result["calibration_s"] = CALIBRATION + [hostspeed.calibrate()]
     print("PERFBENCH_REP " + json.dumps(result), flush=True)
     return 0
 

@@ -2,11 +2,11 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload tours --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload tours --seed 1 --seconds 30 --trace 0
 
 Workloads: ``tours``, ``swarm``, ``entangled``, ``service`` (see
 README.md).  Each repetition runs in a fresh interpreter (``rep.py``);
-the number of repetitions follows from ``--seconds``.  With
+repetitions start until ``--seconds`` have passed.  With
 ``--trace 0`` the end-to-end metrics are reported, with ``--trace 1``
 the per-layer metrics of a traced run, interleaved with untraced
 repetitions that give the tracing overhead.  Every line but the last
@@ -33,19 +33,24 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 
+import hostspeed  # noqa: E402
 import service_load  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("tours", "swarm", "entangled", "service")
-#: Nominal wall seconds of one repetition on a 2-core Xeon; with
-#: ``--seconds`` they fix how many repetitions a run makes, so the
-#: count does not depend on how fast this particular run goes.
-REP_SECONDS = {"tours": 7.0, "swarm": 5.0, "entangled": 6.5,
-               "service": 7.5}
-MIN_REPS = 3
-#: Extra set-up-only repetitions of the batch workloads, so that the
-#: median ``setup_s`` rests on more samples than the full repetitions.
+MIN_REPS = 2
+#: Extra set-up-only repetitions of the process-backend workloads,
+#: whose full repetitions are few, so that the median ``setup_s`` rests
+#: on more samples.
 SETUP_REPS = 3
+#: Workloads whose wall-clock durations are scaled to nominal host
+#: seconds (hostspeed.py): their repetitions keep the interpreter busy,
+#: so they slow down with the calibration.  ``entangled`` and
+#: ``service`` wait mostly on hand-offs between processes and threads;
+#: scaled, their figures spread further across ten seeds (in one set,
+#: entangled steps/s 0.22 of the median against 0.16 and resume 0.22
+#: against 0.09; service launch p50 0.14 against 0.08).
+SCALED = ("tours", "swarm")
 MIN_TRACED_PAIRS = 2
 SERVICE_FIXED_LAUNCHES = 100
 #: Hard stop for starting repetitions, well inside the 180 s budget.
@@ -213,18 +218,26 @@ def _median(values: list[float]) -> float:
     return float(statistics.median(values))
 
 
+def _scale(workload: str, rep: dict[str, Any]) -> float:
+    """Turns a repetition's wall seconds into nominal host seconds on
+    the workloads in ``SCALED``; 1 on the others."""
+    if workload not in SCALED:
+        return 1.0
+    return hostspeed.scale(rep["calibration_s"])
+
+
 def _exact(reps: list[dict[str, Any]], key: str) -> float:
     return float(reps[0]["exact"][key])
 
 
 def launch_latencies(workload: str, reps: list[dict[str, Any]]
                      ) -> list[float]:
-    """Launch-to-outcome samples in ms.  A batch run launches every
-    agent before it starts, and their outcomes are visible when it
-    returns."""
+    """Launch-to-outcome samples in ms (nominal on ``SCALED``).  A batch
+    run launches every agent before it starts, and their outcomes are
+    visible when it returns."""
     if workload == "service":
         return [v for rep in reps for v in rep["fixed"]["latencies_ms"]]
-    return [rep["outcome_s"] * 1000.0
+    return [rep["outcome_s"] * 1000.0 * _scale(workload, rep)
             for rep in reps for _ in range(rep["agents"])]
 
 
@@ -238,18 +251,24 @@ def launch_tail(workload: str, reps: list[dict[str, Any]]) -> float:
 def end_to_end(workload: str, reps: list[dict[str, Any]],
                reference: dict[str, Any],
                setups: list[float]) -> dict[str, float]:
-    setup = [s for rep in reps for s in rep["setup_s"]] + setups
+    """On ``SCALED`` workloads wall-clock durations are in nominal host
+    seconds (hostspeed.py)."""
     rss = _median([rep["peak_rss_mb"] for rep in reps])
     latencies = launch_latencies(workload, reps)
     if workload == "service":
-        return _service_end_to_end(reps, setup, rss, latencies)
+        return _service_end_to_end(reps, rss, latencies)
+    setup = [s * _scale(workload, rep) for rep in reps
+             for s in rep["setup_s"]] \
+        + setups
     vlatency = (reps[0]["rollback_vlatency_s"] if workload == "tours"
                 else reference["rollback_vlatency_s"])
     return {
         "setup_s": _median(setup),
-        "steps_per_s": _median([rep["exact"]["steps"] / rep["run_s"]
+        "steps_per_s": _median([rep["exact"]["steps"]
+                                / (rep["run_s"] * _scale(workload, rep))
                                 for rep in reps]),
-        "resume_s": _median([rep["resume_s"] for rep in reps]),
+        "resume_s": _median([rep["resume_s"] * _scale(workload, rep)
+                             for rep in reps]),
         "rollback_transfers": _exact(reps, "rollback_transfers"),
         "transfer_bytes": _exact(reps, "transfer_bytes"),
         "rollback_vlatency_s": vlatency,
@@ -257,7 +276,8 @@ def end_to_end(workload: str, reps: list[dict[str, Any]],
                                    / _exact(reps, "steps")),
         "launch_p50_ms": _median(latencies),
         "launch_tail_ms": launch_tail(workload, reps),
-        "capacity_rps": _median([rep["agents"] / rep["run_s"]
+        "capacity_rps": _median([rep["agents"]
+                                 / (rep["run_s"] * _scale(workload, rep))
                                  for rep in reps]),
         "peak_rss_mb": rss,
     }
@@ -268,10 +288,10 @@ def _capacity(rep: dict[str, Any]) -> float:
     return passed[-1]["achieved_rps"] if passed else 0.0
 
 
-def _service_end_to_end(reps, setup, rss, latencies) -> dict[str, float]:
+def _service_end_to_end(reps, rss, latencies) -> dict[str, float]:
     counts = [workloads.counts_of(rep["counters"]) for rep in reps]
     return {
-        "setup_s": _median(setup),
+        "setup_s": _median([s for rep in reps for s in rep["setup_s"]]),
         "steps_per_s": _median([rep["fixed"]["steps"] / rep["fixed"]["span_s"]
                                 for rep in reps]),
         "resume_s": _median([rep["resume_s"] for rep in reps]),
@@ -413,7 +433,7 @@ def _traced_cost(workload: str, rep: dict[str, Any]) -> float:
     """What tracing slows down: run time, or launch latency (service)."""
     if workload == "service":
         return service_load.median(rep["fixed"]["latencies_ms"])
-    return rep["run_s"]
+    return rep["run_s"] * _scale(workload, rep)
 
 
 def per_layer(workload: str, traced: list[dict[str, Any]],
@@ -462,7 +482,7 @@ def check(workload: str, seed: int, reps: list[dict[str, Any]],
             if rep["resumed_digest"] != rep["digest"]:
                 problems.append("resumed tours twin diverged from the "
                                 "uninterrupted run")
-    elif digest != reference["digest"]:
+    if digest != reference["digest"]:
         problems.append(f"{workload} outcome {digest} != uninterrupted "
                         f"in-process run {reference['digest']}")
     pinned = _pinned(workload, seed)
@@ -529,7 +549,7 @@ def check_trace(workload: str, traced: list[dict[str, Any]]) -> list[str]:
         program = rep["program"]
         if calls["journal.commit"] != program["journal_commits"]:
             problems.append(f"traced journal commits {calls['journal.commit']}"
-                            f" != journal.stats() {program['journal_commits']}")
+                            f" != the journal's {program['journal_commits']}")
         # The kernels also ran the killed run that was resumed, so the
         # traced events cover the final count and then some.
         events = rep["trace"]["extra"].get("sim.events", 0)
@@ -555,8 +575,19 @@ def check_trace(workload: str, traced: list[dict[str, Any]]) -> list[str]:
 # Main
 # ---------------------------------------------------------------------------
 
-def _rep_count(workload: str, seconds: float, per_rep: float) -> int:
-    return max(1, round(seconds / (REP_SECONDS[workload] * per_rep)))
+def repeat(rep, minimum: int, until: float, deadline: float) -> list:
+    """Call ``rep`` at least ``minimum`` times, then again while one
+    more call, as long as the longest so far, ends before ``until``;
+    past ``deadline`` start none once one has run."""
+    out: list = []
+    longest = 0.0
+    while len(out) < minimum or time.monotonic() + longest < until:
+        if time.monotonic() > deadline and out:
+            break
+        start = time.monotonic()
+        out.append(rep())
+        longest = max(longest, time.monotonic() - start)
+    return out
 
 
 def _fmt(value: float) -> str:
@@ -596,39 +627,36 @@ def _run(args, workdir: str, deadline: float, t0: float) -> int:
     workload, seed = args.workload, args.seed
     env = environment(workdir)
     print(f"environment: {json.dumps(env, sort_keys=True)}")
-    reference: dict[str, Any] = {}
-    if workload != "tours":
-        reference = run_rep(workload, seed, workdir, deadline,
-                            phase="reference")
     extra: dict[str, Any] = {}
+    if workload == "tours":
+        extra["journal"] = os.path.join(workdir, "tours-killed.journal")
+    reference = run_rep(workload, seed, workdir, deadline,
+                        phase="reference", **extra)
     if workload in ("swarm", "entangled"):
         extra["kill_at"] = workloads.KILL_SHARE * reference["end"]
     if workload == "service":
         extra["fixed_launches"] = SERVICE_FIXED_LAUNCHES
 
+    until = t0 + args.seconds
     plain: list[dict[str, Any]] = []
     traced: list[dict[str, Any]] = []
     setups: list[float] = []
     if args.trace:
-        pairs = max(MIN_TRACED_PAIRS,
-                    _rep_count(workload, args.seconds, 2.5))
-        for _ in range(pairs):
-            if time.monotonic() > deadline and len(traced) >= 1:
-                break
+        def pair() -> None:
             plain.append(run_rep(workload, seed, workdir, deadline,
                                  **extra))
             traced.append(run_rep(workload, seed, workdir, deadline,
                                   traced=True, **extra))
+        repeat(pair, MIN_TRACED_PAIRS, until, deadline)
     else:
-        for _ in range(max(MIN_REPS, _rep_count(workload, args.seconds, 1))):
-            if time.monotonic() > deadline and len(plain) >= 2:
-                break
-            plain.append(run_rep(workload, seed, workdir, deadline,
-                                 **extra))
-        if workload != "service":
+        if workload in ("swarm", "entangled"):
             for _ in range(SETUP_REPS):
-                setups.extend(run_rep(workload, seed, workdir, deadline,
-                                      phase="setup")["setup_s"])
+                rep = run_rep(workload, seed, workdir, deadline,
+                              phase="setup")
+                setups.extend(s * _scale(workload, rep)
+                              for s in rep["setup_s"])
+        plain = repeat(lambda: run_rep(workload, seed, workdir, deadline,
+                                       **extra), MIN_REPS, until, deadline)
 
     reps = plain + traced
     problems = check(workload, seed, reps, reference)
@@ -661,6 +689,14 @@ def _run(args, workdir: str, deadline: float, t0: float) -> int:
                 f"(p{r['tail_pct']:g} {r['tail_ms']:.1f} ms, lag "
                 f"{r['lag_ms_max']:.1f} ms)" for r in rep["rungs"])
             print(f"ladder rep {i}: {ladder}")
+    calibration = [c for rep in reps for c in rep["calibration_s"]]
+    host = (f"host calibration: median {_fmt(_median(calibration))} s of "
+            f"{len(calibration)}, nominal {hostspeed.NOMINAL_S:g} s")
+    if workload in SCALED:
+        host += "; unscaled medians: " + ", ".join(
+            f"{key} {_fmt(_median([rep[key] for rep in plain]))} s"
+            for key in ("run_s", "resume_s"))
+    print(host)
     print(f"failed_frac: {failed / attempted:.4f} ({failed} of {attempted})")
     for name, value in values.items():
         print(f"{name}: {_fmt(value)} {units[name]}")

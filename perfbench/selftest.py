@@ -79,11 +79,10 @@ def test_contract() -> None:
     assert setup and setup[0]["unit"] == "s" \
         and setup[0]["better"] == "lower"
     assert setup[0]["bound"] == max(m["bound"] for m in bench["end_to_end"])
-    # A full pass (4 + 22 runs per workload) must fit in 3420 s at the
-    # nominal repetition times.
+    # A full pass (4 + 22 runs per workload) must fit in 3420 s, with
+    # room for runs that end a little after their run_seconds.
     runs = 4 + 22 * len(bench["workloads"])
-    nominal = max(bench["run_seconds"], 3 * max(run.REP_SECONDS.values()))
-    assert runs * nominal * 1.2 <= 3420
+    assert runs * bench["run_seconds"] * 1.15 <= 3420
 
 
 def test_tables_match_benchmark_json() -> None:

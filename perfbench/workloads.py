@@ -19,12 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time
 from typing import Any
 
 # Shapes (see README.md for why each was chosen).
 TOURS_NODES = 8
-TOURS_AGENTS = 32
+TOURS_AGENTS = 16
 TOURS_STEPS = 24
 TOURS_MIX = (0.0, 0.25, 0.5, 0.75)
 TOURS_BALLAST = 1_000
@@ -152,9 +153,12 @@ def _tours_world(seed: int, journal=None):
     return world
 
 
-def tours(seed: int, t_start: float, workdir: str, **_: Any
-          ) -> dict[str, Any]:
-    from repro import FileJournal, WorldJournal, WorldKilled, resume_world
+def tours(seed: int, t_start: float, workdir: str, journal: str,
+          **_: Any) -> dict[str, Any]:
+    """The measured run, then a resume from a copy of ``journal``: the
+    journal of a twin of the same world killed at a barrier, written
+    once per benchmark run by :func:`reference`."""
+    from repro import FileJournal, WorldJournal, resume_world
     from repro.storage import serialization
 
     world = _tours_world(seed)
@@ -164,31 +168,21 @@ def tours(seed: int, t_start: float, workdir: str, **_: Any
     run_s = time.perf_counter() - t0
     outcomes = world.outcomes()
     counts = counts_of(world.metrics.summary())
-    end = world.sim.now
     vlatency = mean_rollback_latency([world.metrics.timeline])
     events = world.sim.events_processed
     stats = serialization.stats()
 
-    # Crash-resume of a journaled twin of the same world.
-    path = _fresh(os.path.join(workdir, f"tours-{os.getpid()}.journal"))
-    journal = WorldJournal(FileJournal(path, fsync=FSYNC))
-    twin = _tours_world(seed, journal)
-    twin.kill_world(at=KILL_SHARE * end, phase="barrier")
-    try:
-        twin.run(max_events=50_000_000)
-        raise RuntimeError("tours twin was never killed")
-    except WorldKilled:
-        pass
-    journal.close()
+    path = os.path.join(workdir, f"tours-{os.getpid()}.journal")
+    shutil.copyfile(journal, path)
     t1 = time.perf_counter()
-    journal = WorldJournal(FileJournal(path, fsync=FSYNC))
-    resumed = resume_world(journal)
+    wjournal = WorldJournal(FileJournal(path, fsync=FSYNC))
+    resumed = resume_world(wjournal)
     resume_s = time.perf_counter() - t1
-    replayed = journal.commits
+    replayed = wjournal.commits
     resumed.run(max_events=50_000_000)
-    total_barriers = journal.commits
-    jstats = journal.stats()
-    journal.close()
+    total_barriers = wjournal.commits
+    jstats = wjournal.stats()
+    wjournal.close()
     os.remove(path)
     resumed_outcomes = resumed.outcomes()
     return {
@@ -206,9 +200,29 @@ def tours(seed: int, t_start: float, workdir: str, **_: Any
         "exact": {**counts, "events": events,
                   "journal_bytes": jstats["bytes"],
                   "journal_commits": jstats["commits"]},
-        "program": {"events": events, "journal_commits": jstats["commits"],
+        # The commits before the kill were made by the reference's
+        # interpreter; this one made the rest.
+        "program": {"events": events,
+                    "journal_commits": jstats["commits"] - replayed,
                     "epochs": 0, "stats": stats},
     }
+
+
+def _tours_journal(seed: int, end: float, path: str) -> None:
+    """Journal a twin of the tours world and kill it at a barrier at
+    ``KILL_SHARE`` of the uninterrupted run's virtual length ``end``."""
+    from repro import FileJournal, WorldJournal, WorldKilled
+
+    journal = WorldJournal(FileJournal(_fresh(path), fsync=FSYNC))
+    twin = _tours_world(seed, journal)
+    twin.kill_world(at=KILL_SHARE * end, phase="barrier")
+    try:
+        twin.run(max_events=50_000_000)
+        raise RuntimeError("tours twin was never killed")
+    except WorldKilled:
+        pass
+    finally:
+        journal.close()
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +285,8 @@ def _entangled_world(cls, seed: int, journal=None):
 BUILDERS = {"swarm": _swarm_world, "entangled": _entangled_world}
 
 
-def reference(workload: str, seed: int, **_: Any) -> dict[str, Any]:
+def reference(workload: str, seed: int, journal: str = "",
+              **_: Any) -> dict[str, Any]:
     """The uninterrupted in-process twin of a workload.
 
     For the process-backend workloads the sharded backends are
@@ -279,13 +294,17 @@ def reference(workload: str, seed: int, **_: Any) -> dict[str, Any]:
     digest the resumed process run must match, the crash point, the
     barrier count, and the virtual rollback latency (worker timelines
     never leave the workers).  For ``tours`` it is the measured run
-    itself, which ``pin.py`` uses.
+    itself, which ``pin.py`` uses; given a ``journal`` path, it also
+    writes the killed twin's journal there for the repetitions to
+    resume.
     """
     from repro import ShardedWorld
 
     if workload == "tours":
         world = _tours_world(seed)
         world.run(max_events=50_000_000)
+        if journal:
+            _tours_journal(seed, world.sim.now, journal)
         return {"digest": digest(world.outcomes())}
     world = BUILDERS[workload](ShardedWorld, seed)
     world.run()
